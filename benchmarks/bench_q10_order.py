@@ -98,7 +98,7 @@ def test_q10_by_size(benchmark, elision, items, bids):
 
     def run():
         with properties.elision(elision):
-            return db.execute(plan).output
+            return db.execute(plan, mode="physical").output
 
     benchmark(run)
 
@@ -109,7 +109,7 @@ def _best_of(db: Database, plan, elision: bool,
     result = None
     for _ in range(max(1, repeat)):
         with properties.elision(elision):
-            result = db.execute(plan)
+            result = db.execute(plan, mode="physical")
         elapsed = min(elapsed, result.elapsed)
     return elapsed, result
 

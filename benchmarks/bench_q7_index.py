@@ -59,7 +59,7 @@ def test_q7_by_size(benchmark, plan, items):
     db, query = compiled(items)
     physical = query.plan_named(plan).plan
     benchmark.group = f"q7 value predicate, items={items}"
-    benchmark(lambda: db.execute(physical).output)
+    benchmark(lambda: db.execute(physical, mode="physical").output)
 
 
 def speedup_at(items: int, repeat: int = 3, seed: int = 7) -> dict:
@@ -67,8 +67,8 @@ def speedup_at(items: int, repeat: int = 3, seed: int = 7) -> dict:
     db, query = compiled(items, seed=seed)
     scan_plan = query.plan_named("nested").plan
     index_plan = query.plan_named("nested+index").plan
-    scan_result = db.execute(scan_plan)
-    index_result = db.execute(index_plan)
+    scan_result = db.execute(scan_plan, mode="physical")
+    index_result = db.execute(index_plan, mode="physical")
     assert index_result.output == scan_result.output, \
         "index plan must be byte-identical to the scan plan"
     scan_s = time_plan(db, scan_plan, repeat=repeat)

@@ -83,7 +83,7 @@ def test_q9_by_size(benchmark, accelerated, items, bids):
 
     def run():
         with arena.acceleration(accelerated):
-            return db.execute(plan).output
+            return db.execute(plan, mode="physical").output
 
     benchmark(run)
 
@@ -94,7 +94,7 @@ def _best_of(db: Database, plan, accelerated: bool,
     result = None
     for _ in range(max(1, repeat)):
         with arena.acceleration(accelerated):
-            result = db.execute(plan)
+            result = db.execute(plan, mode="physical")
         elapsed = min(elapsed, result.elapsed)
     return elapsed, result
 

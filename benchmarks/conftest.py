@@ -41,7 +41,7 @@ def compiled_plan(key: str, label: str, **params):
 
 
 def run_plan(db, plan):
-    result = db.execute(plan)
+    result = db.execute(plan, mode="physical")
     return result.output
 
 

@@ -72,7 +72,9 @@ def run(db: Database, title: str, text: str,
     query = compile_query(text, db)
     print(f"=== {title} ===")
     for alt in query.plans():
-        result = db.execute(alt.plan)
+        # physical: the materializing engine whose scan counts the
+        # paper reports
+        result = db.execute(alt.plan, mode="physical")
         rules = "+".join(alt.applied) if alt.applied else "-"
         scans = sum(result.stats["document_scans"].values())
         print(f"  {alt.label:<10} [{rules:<18}] "

@@ -57,8 +57,10 @@ def show(title: str, db: Database, text: str, note: str = "") -> None:
     labels = [(a.label, "+".join(a.applied) or "-") for a in query.plans()]
     print(f"  alternatives: {labels}")
     best = query.best()
-    nested = db.execute(query.plan_named("nested").plan)
-    chosen = db.execute(best.plan)
+    # physical: the materializing engine whose scan counts the paper
+    # reports
+    nested = db.execute(query.plan_named("nested").plan, mode="physical")
+    chosen = db.execute(best.plan, mode="physical")
     print(f"  nested plan : "
           f"{sum(nested.stats['document_scans'].values())} document scans")
     print(f"  chosen plan : {best.label}, "
@@ -200,7 +202,7 @@ return <expensive> { $i1/itemno } </expensive>
                          dtd_text=ITEMS_DTD)
         query = compile_query(query_text, db)
         best = query.best()
-        result = db.execute(best.plan)
+        result = db.execute(best.plan, mode="physical")
         print(f"  index_mode={mode!r}: best plan is {best.label!r}")
         for line in query.explain(best.label).splitlines():
             print(f"    {line}")
@@ -294,7 +296,7 @@ return <pricey> { $r1 } </pricey>
                                 False),
                                ("arena (range scan)", True)):
         with arena.acceleration(accelerated):
-            result = db.execute(plan, analyze=True)
+            result = db.execute(plan, mode="physical", analyze=True)
         outputs[label] = result.output
         print(f"  {label}: {result.elapsed:.4f}s, "
               f"node_visits={result.stats['node_visits']}")

@@ -50,7 +50,7 @@ def main() -> None:
     print()
 
     best = query.best()
-    result = db.execute(best.plan, analyze=True)
+    result = db.execute(best.plan, mode="physical", analyze=True)
     print(f"=== EXPLAIN ANALYZE ({best.label}) ===")
     print(analyze_to_string(best.plan, result))
     print()
@@ -67,7 +67,7 @@ def main() -> None:
               for b in blocks]
     assert prices == sorted(prices, reverse=True), "report out of order!"
     print()
-    nested = db.execute(query.plan_named("nested").plan)
+    nested = db.execute(query.plan_named("nested").plan, mode="physical")
     scans = sum(nested.stats["document_scans"].values())
     best_scans = sum(result.stats["document_scans"].values())
     print(f"document scans: nested plan {scans}, "

@@ -80,7 +80,8 @@ def main() -> None:
     print()
 
     for label in ("nested", query.best().label):
-        result = db.execute(query.plan_named(label).plan)
+        result = db.execute(query.plan_named(label).plan,
+                            mode="physical")
         scans = result.stats["document_scans"]
         print(f"--- {label}: {result.elapsed * 1000:.2f} ms, "
               f"document scans {scans} ---")

@@ -99,8 +99,8 @@ def main() -> None:
           [f"{a.label} via {'+'.join(a.applied) or '-'}"
            for a in query.plans()])
 
-    nested = db.execute(query.plan_named("nested").plan)
-    best = db.execute(query.best().plan)
+    nested = db.execute(query.plan_named("nested").plan, mode="physical")
+    best = db.execute(query.best().plan, mode="physical")
     print(f"nested : {nested.elapsed * 1000:8.2f} ms, "
           f"scans={sum(nested.stats['document_scans'].values())}")
     print(f"best   : {best.elapsed * 1000:8.2f} ms, "

@@ -141,10 +141,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode",
                         choices=("physical", "pipelined", "vectorized",
                                  "reference", "auto", "parallel"),
-                        default="physical",
-                        help="execution engine ('auto' picks pipelined, "
-                             "vectorized or parallel via the cost "
-                             "model; see docs/execution-modes.md)")
+                        default="auto",
+                        help="execution engine (default 'auto' picks "
+                             "pipelined, vectorized or parallel via the "
+                             "cost model; see docs/execution-modes.md)")
     parser.add_argument("--workers", type=int, default=None,
                         metavar="N",
                         help="worker processes for --mode parallel "
@@ -291,8 +291,11 @@ def build_trace_arg_parser() -> argparse.ArgumentParser:
                         choices=("heuristic", "cost", "cost-first-tuple"),
                         default="heuristic", help="plan ranking strategy")
     parser.add_argument("--mode",
-                        choices=("physical", "pipelined", "vectorized"),
-                        default="physical", help="execution engine")
+                        choices=("physical", "pipelined", "vectorized",
+                                 "auto"),
+                        default="auto",
+                        help="execution engine (default 'auto' picks "
+                             "one via the cost model)")
     parser.add_argument("--out", metavar="PATH",
                         help="also write Chrome trace_event JSON to PATH "
                              "(open in chrome://tracing or Perfetto)")
@@ -312,7 +315,7 @@ def trace_main(argv: list[str]) -> int:
         alt, result = trace_query(text, db, mode=args.mode,
                                   label=args.plan, ranking=args.ranking)
         rules = "+".join(alt.applied) if alt.applied else "nested"
-        print(f"# plan: {alt.label} ({rules})  mode: {args.mode}")
+        print(f"# plan: {alt.label} ({rules})  mode: {result.mode}")
         print(result.trace.to_pretty())
         print()
         print(result.metrics.to_pretty())
@@ -440,8 +443,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.stats:
             scans = result.stats["document_scans"]
             print(f"# plan: {alt.label} "
-                  f"({'+'.join(alt.applied) if alt.applied else 'nested'})",
-                  file=sys.stderr)
+                  f"({'+'.join(alt.applied) if alt.applied else 'nested'})"
+                  f"  mode: {result.mode}", file=sys.stderr)
             print(f"# document scans: {scans}", file=sys.stderr)
             print(f"# elapsed: {result.elapsed:.4f}s", file=sys.stderr)
         return 0

@@ -106,24 +106,27 @@ class Database:
         return self.store.snapshot()
 
     # ------------------------------------------------------------------
-    def execute(self, plan: Operator, mode: str = "physical",
+    def execute(self, plan: Operator, mode: str = "auto",
                 analyze: bool = False,
                 tracer=None, metrics=None,
                 timeout: float | None = None,
                 workers: int | None = None) -> ExecutionResult:
         """Run a plan; returns rows, constructed output and scan stats.
 
-        ``mode`` is ``"physical"`` (materializing hash engine),
-        ``"pipelined"`` (generator-based engine with short-circuit
-        quantifiers), ``"vectorized"`` (batch-at-a-time engine over
-        arena columns), ``"parallel"`` (multi-process scatter/gather
-        over shared-memory arenas, see ``docs/parallelism.md``),
-        ``"auto"`` (pipelined, vectorized or parallel, picked by the
-        cost model) or ``"reference"`` (definitional semantics) — see
-        ``docs/execution-modes.md`` for the decision table.
-        ``analyze=True`` records per-operator invocation/row counts
-        keyed by tree position (EXPLAIN ANALYZE; any mode but
-        reference/parallel).  ``tracer``/``metrics`` attach a
+        ``mode`` is ``"auto"`` (the default: pipelined, vectorized or
+        parallel, picked by the cost model; ``result.mode`` names the
+        pick), ``"pipelined"`` (generator-based engine with
+        short-circuit quantifiers), ``"vectorized"`` (batch-at-a-time
+        engine over arena columns, σ quantifiers short-circuit too),
+        ``"parallel"`` (multi-process scatter/gather over shared-memory
+        arenas, see ``docs/parallelism.md``), ``"physical"`` (the
+        materializing hash engine: the all-tuples baseline the paper's
+        scan-count tables measure) or ``"reference"`` (definitional
+        semantics) — see ``docs/execution-modes.md`` for the decision
+        table.  ``analyze=True`` records per-operator invocation/row
+        counts keyed by tree position (EXPLAIN ANALYZE; any mode but
+        reference/parallel — ``auto`` then picks a serial engine).
+        ``tracer``/``metrics`` attach a
         :class:`~repro.obs.trace.Tracer` and a request-scoped
         :class:`~repro.obs.metrics.MetricsRegistry` (see
         :mod:`repro.obs`).  ``timeout`` sets a cooperative per-request
@@ -198,8 +201,9 @@ class CompiledQuery:
         return self.plans()[0]
 
     def run(self, label: str | None = None,
-            mode: str = "physical") -> ExecutionResult:
-        """Execute the best plan (or the one with the given label)."""
+            mode: str = "auto") -> ExecutionResult:
+        """Execute the best plan (or the one with the given label),
+        under the cost model's engine unless ``mode`` names one."""
         alt = self.best() if label is None else self.plan_named(label)
         return self.db.execute(alt.plan, mode=mode)
 
@@ -224,7 +228,7 @@ def compile_query(text: str, db: Database,
     return CompiledQuery(text, db, ranking=ranking, tracer=tracer)
 
 
-def trace_query(text: str, db: Database, mode: str = "physical",
+def trace_query(text: str, db: Database, mode: str = "auto",
                 label: str | None = None, ranking: str = "heuristic",
                 analyze: bool = False
                 ) -> tuple[RewriteResult, ExecutionResult]:
@@ -234,7 +238,9 @@ def trace_query(text: str, db: Database, mode: str = "physical",
     lex/parse, normalize, translate, every optimizer pass, execution
     and every operator invocation) and a request-scoped
     :class:`~repro.obs.metrics.MetricsRegistry`, then executes the
-    best plan (or the alternative named ``label``).  Returns
+    best plan (or the alternative named ``label``) under ``mode``
+    (default ``"auto"``; ``result.mode`` names the engine that ran).
+    Returns
     ``(alternative, result)``; ``result.trace`` and ``result.metrics``
     carry the recordings — export with ``result.trace.chrome_json()``
     or render with ``result.trace.to_pretty()``.  This is what the CLI

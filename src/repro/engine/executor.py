@@ -22,16 +22,21 @@ MODES = ("physical", "pipelined", "vectorized", "reference", "auto",
 
 
 def resolve_workers(workers: int | None,
-                    explicit_parallel: bool = False) -> int | None:
+                    explicit_parallel: bool = False,
+                    analyze: bool = False) -> int | None:
     """The effective worker count for one execution: the explicit
     argument wins, then the ``REPRO_WORKERS`` environment override;
     an explicit ``mode="parallel"`` with neither defaults to the
     machine's cores, while ``mode="auto"`` leaves parallelism off
-    unless someone asked for workers."""
+    unless someone asked for workers.  ``analyze=True`` turns it off
+    too, so ``auto`` picks a serial engine: EXPLAIN ANALYZE counts
+    cannot come back from worker processes."""
     import os
 
     from repro.engine.parallel import DEFAULT_WORKERS, WORKERS_ENV
 
+    if analyze:
+        return None
     if workers is not None:
         return workers
     env = os.environ.get(WORKERS_ENV)
@@ -50,7 +55,8 @@ class ExecutionResult:
                  elapsed: float,
                  operator_counts: dict[tuple, tuple[int, int]]
                  | None = None,
-                 trace=None, metrics=None, cached: bool = False):
+                 trace=None, metrics=None, cached: bool = False,
+                 mode: str | None = None):
         #: the operator tree's result sequence
         self.rows = rows
         #: the XML text the Ξ operators constructed
@@ -77,6 +83,9 @@ class ExecutionResult:
         #: result cache (``stats`` then snapshots the populating run,
         #: with ``result_cache_hit`` set; see :mod:`repro.session`)
         self.cached = cached
+        #: the engine that ran the plan: ``"auto"`` is reported as the
+        #: mode it resolved to (pipelined, vectorized or parallel)
+        self.mode = mode
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ExecutionResult rows={len(self.rows)} "
@@ -86,7 +95,7 @@ class ExecutionResult:
 
 
 def execute(plan: Operator, store: DocumentStore,
-            mode: str = "physical",
+            mode: str = "auto",
             reset_stats: bool = True,
             analyze: bool = False,
             tracer=None, metrics=None,
@@ -100,19 +109,25 @@ def execute(plan: Operator, store: DocumentStore,
     this query keeps reading the versions it pinned (MVCC snapshot
     isolation — see ``docs/updates.md``).
 
-    ``mode="physical"`` uses the hash-based engine (the default; what the
-    benchmarks measure); ``mode="pipelined"`` uses the generator-based
-    engine of :mod:`repro.engine.pipeline` — same algorithms, but
-    operators yield tuples on demand and quantifier subscripts stop at
-    the first witness; ``mode="vectorized"`` uses the batch-at-a-time
-    engine of :mod:`repro.engine.vectorized` — columns move through
-    operators as flat arrays with selection-vector passes over the
-    arena; ``mode="auto"`` resolves to pipelined or vectorized via the
-    cost model's per-batch/per-tuple split
-    (:func:`repro.optimizer.cost.preferred_mode`); ``mode="reference"``
-    uses the definitional semantics (useful for differential testing).
+    ``mode="auto"`` (the default) resolves to pipelined or vectorized
+    via the cost model's per-batch/per-tuple split — or to parallel,
+    when a worker budget is set and the startup-vs-speedup estimate
+    favors it (:func:`repro.optimizer.cost.preferred_mode`); the
+    result's ``mode`` names the engine that ran.
+    ``mode="pipelined"`` uses the generator-based engine of
+    :mod:`repro.engine.pipeline` — operators yield tuples on demand and
+    quantifier subscripts stop at the first witness;
+    ``mode="vectorized"`` uses the batch-at-a-time engine of
+    :mod:`repro.engine.vectorized` — columns move through operators as
+    flat arrays with selection-vector passes over the arena, and σ
+    quantifiers stop at the first witness too; ``mode="physical"`` uses
+    the hash-based engine that materializes every operator's output —
+    the all-tuples baseline the paper's scan-count tables and the
+    pipeline benchmark measure; ``mode="reference"`` uses the
+    definitional semantics (useful for differential testing).
     See ``docs/execution-modes.md`` for the full decision table.
-    ``analyze=True`` (any mode but reference) additionally records
+    ``analyze=True`` (any mode but reference and parallel; ``auto``
+    then chooses among the serial engines) additionally records
     per-operator invocation and row counts keyed by tree position —
     render them with :func:`~repro.engine.executor.analyze_to_string`;
     under ``mode="reference"`` it raises
@@ -144,7 +159,8 @@ def execute(plan: Operator, store: DocumentStore,
     if mode not in MODES:
         raise ValueError(f"unknown execution mode {mode!r}")
     workers = resolve_workers(workers,
-                              explicit_parallel=(mode == "parallel"))
+                              explicit_parallel=(mode == "parallel"),
+                              analyze=analyze)
     # Pin a snapshot for the whole execution: every document name the
     # plan touches resolves to the version current *now*, so concurrent
     # DocumentStore.update() calls cannot tear this query across
@@ -202,7 +218,7 @@ def execute(plan: Operator, store: DocumentStore,
     return ExecutionResult(rows, ctx.output_text(),
                            stats.snapshot(), elapsed,
                            operator_counts=ctx.analyze_counts,
-                           trace=tracer, metrics=metrics)
+                           trace=tracer, metrics=metrics, mode=mode)
 
 
 def _scan_stats_to_metrics(stats: ScanStats, metrics) -> None:

@@ -32,8 +32,11 @@ Invariants: batches are immutable (operators derive new ones, see
 a single operator invocation, drawn from the request-scoped
 :class:`~repro.engine.batch.BatchBuffers` pool on the context; nested
 subscript plans (quantifiers, :class:`~repro.nal.scalar.NestedPlan`)
-evaluate through the reference semantics exactly as in the physical
-engine and are charged to their host operator.
+are charged to their host operator.  In a σ predicate they go through
+the pipelined engine's :func:`~repro.engine.pipeline.boolean_subscript`,
+which stops at the first witness (nested plans holding a Ξ still run to
+completion); in value positions they evaluate through the reference
+semantics exactly as in the physical engine.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from repro.engine.physical import (
     self_group_rows,
     semi_anti_rows,
 )
+from repro.engine.pipeline import boolean_subscript
 from repro.errors import EvaluationError
 from repro.nal.algebra import Operator, bind_item, scalar_env
 from repro.nal.construct import Construct, GroupConstruct
@@ -507,10 +511,12 @@ def _select(plan: Select, ctx, env: Tup, path) -> Batch:
         result = batch.take(selection_vector(scratch))
         buffers.release(scratch)
         return result
+    # Row-at-a-time fallback (quantifiers, exists()/empty(), nested
+    # plans): the pipelined engine's short-circuit evaluator stops each
+    # nested plan at its first witness instead of draining it.
     return Batch.from_rows(
         [t for t in batch.to_rows()
-         if effective_boolean(plan.pred.evaluate(scalar_env(env, t),
-                                                 ctx))])
+         if boolean_subscript(plan.pred, scalar_env(env, t), ctx)])
 
 
 def _project(plan: Project, ctx, env: Tup, path) -> Batch:

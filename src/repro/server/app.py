@@ -124,7 +124,9 @@ class ServerConfig:
     default_timeout: float | None = 30.0
     #: hard cap on client-requested timeouts
     max_timeout: float = 300.0
-    default_mode: str = "physical"
+    #: engine for requests that name none; ``"auto"`` lets the cost
+    #: model pick per plan, and the reply's ``"mode"`` names the pick
+    default_mode: str = "auto"
     #: worker-process budget for ``mode="parallel"`` requests (and the
     #: cost model's ``mode="auto"`` parallel alternative); None leaves
     #: multi-process execution off unless ``REPRO_WORKERS`` is set.
@@ -440,7 +442,7 @@ class QueryServer:
             "elapsed": result.elapsed,
             "cached": result.cached,
             "plan": plan_label,
-            "mode": mode,
+            "mode": result.mode,
             "stats": result.stats,
         }
 

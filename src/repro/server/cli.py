@@ -58,9 +58,11 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode",
                         choices=("physical", "pipelined", "vectorized",
                                  "reference", "auto", "parallel"),
-                        default="physical",
+                        default="auto",
                         help="default execution engine for requests "
-                             "that name none")
+                             "that name none (default auto: the cost "
+                             "model picks pipelined, vectorized or "
+                             "parallel per plan)")
     parser.add_argument("--index-mode",
                         choices=("off", "lazy", "eager"),
                         default="lazy",

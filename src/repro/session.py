@@ -218,7 +218,7 @@ class Session:
 
     def __init__(self, database, *, plan_cache_size: int = 128,
                  result_cache_size: int = 256,
-                 default_mode: str = "physical",
+                 default_mode: str = "auto",
                  default_timeout: float | None = None,
                  default_workers: int | None = None,
                  ranking: str = "heuristic"):
@@ -352,7 +352,8 @@ class Session:
         if workers is _UNSET:
             workers = self.default_workers
         workers = resolve_workers(workers,
-                                  explicit_parallel=(mode == "parallel"))
+                                  explicit_parallel=(mode == "parallel"),
+                                  analyze=analyze)
         alt = prepared.best() if label is None \
             else prepared.plan_named(label)
         if mode != "reference":
@@ -373,7 +374,7 @@ class Session:
                 return ExecutionResult(list(rows), output, hit_stats,
                                        lookup, operator_counts=None,
                                        trace=tracer, metrics=metrics,
-                                       cached=True)
+                                       cached=True, mode=mode)
             if metrics is not None:
                 metrics.counter("session.result_cache.miss").inc()
         target = self.database.store if snapshot is None else snapshot

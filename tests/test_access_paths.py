@@ -163,8 +163,9 @@ def test_plan_to_dot_renders_index_scan():
 def test_indexed_plan_zero_scans_and_identical_output():
     db = items_db(mode="eager")
     query = compile_query(VALUE_QUERY, db)
-    scan = db.execute(query.plan_named("nested").plan)
-    idx = db.execute(query.plan_named("nested+index").plan)
+    scan = db.execute(query.plan_named("nested").plan, mode="physical")
+    idx = db.execute(query.plan_named("nested+index").plan,
+                     mode="physical")
     assert idx.output == scan.output
     assert idx.rows == scan.rows
     assert scan.stats["total_scans"] == 1

@@ -57,16 +57,27 @@ def test_register_text_explicit_dtd_overrides_none():
 
 def test_compile_and_run_best(db):
     query = compile_query(NESTED, db)
-    result = query.run()
+    result = query.run(mode="physical")
     assert isinstance(result, ExecutionResult)
     assert "<author>" in result.output
     assert result.stats["document_scans"]["bib.xml"] <= 2
 
 
+def test_default_mode_is_auto_and_reports_the_engine(db):
+    plan = compile_query(NESTED, db).best().plan
+    default = db.execute(plan)
+    assert default.mode in ("pipelined", "vectorized", "parallel")
+    explicit = db.execute(plan, mode=default.mode)
+    assert explicit.mode == default.mode
+    assert explicit.output == default.output
+    for mode in ("physical", "reference"):
+        assert db.execute(plan, mode=mode).mode == mode
+
+
 def test_run_specific_label(db):
     query = compile_query(NESTED, db)
-    nested = query.run("nested")
-    best = query.run()
+    nested = query.run("nested", mode="physical")
+    best = query.run(mode="physical")
     # nested rescans once per distinct author; best does not
     assert nested.stats["document_scans"]["bib.xml"] > \
         best.stats["document_scans"]["bib.xml"]

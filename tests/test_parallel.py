@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import Database, compile_query
 from repro.engine import parallel
-from repro.errors import ParallelExecutionError
+from repro.errors import ParallelExecutionError, UnsupportedModeError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.optimizer.cost import preferred_mode
@@ -169,6 +169,27 @@ def test_cost_gate_opens_for_large_inputs():
     assert preferred_mode(plan, db.store, workers=4) == "parallel"
     # without a worker budget the parallel alternative never competes
     assert preferred_mode(plan, db.store) != "parallel"
+    db.close()
+
+
+def test_analyze_under_auto_runs_a_serial_engine():
+    """EXPLAIN ANALYZE cannot collect counts from worker processes, so
+    ``auto`` with a worker budget picks a serial engine for it instead
+    of raising; an explicit ``mode="parallel"`` still raises."""
+    db = Database()
+    db.register_text("big.xml", shard_xml(0, 8000))
+    query = 'for $i in doc("big.xml")//item where $i/price > 6 ' \
+            'return $i/name'
+    plan = best_plan(db, query)
+    assert preferred_mode(plan, db.store, workers=2) == "parallel"
+    with db.session(default_mode="auto", default_workers=2) as session:
+        result = session.execute(query, analyze=True)
+    assert result.mode in ("pipelined", "vectorized")
+    assert result.operator_counts
+    result = db.execute(plan, workers=2, analyze=True)
+    assert result.mode in ("pipelined", "vectorized")
+    with pytest.raises(UnsupportedModeError, match="parallel"):
+        db.execute(plan, mode="parallel", workers=2, analyze=True)
     db.close()
 
 

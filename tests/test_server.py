@@ -108,11 +108,21 @@ def test_query_roundtrip_and_result_cache(server):
     assert status == 200
     assert first["rows"] == 10
     assert "<title>" in first["output"]
-    assert first["mode"] == "physical"
+    # The default mode is "auto"; the reply names the engine it
+    # resolved to (a ten-book scan is too small to amortize batches).
+    assert first["mode"] == "pipelined"
     status, second, _ = server.post({"query": TITLES_QUERY})
     assert status == 200
     assert second["cached"] is True
     assert second["output"] == first["output"]
+    assert second["mode"] == "pipelined"
+
+
+def test_query_reply_names_an_explicit_mode(server):
+    status, reply, _ = server.post({"query": TITLES_QUERY,
+                                    "mode": "vectorized"})
+    assert status == 200
+    assert reply["mode"] == "vectorized"
 
 
 def test_stats_endpoint(server):

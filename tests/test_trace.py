@@ -49,7 +49,7 @@ def bib_db() -> Database:
 # Lifecycle spans
 # ----------------------------------------------------------------------
 def test_trace_query_records_the_full_lifecycle(bib_db):
-    alt, result = trace_query(SIMPLE, bib_db)
+    alt, result = trace_query(SIMPLE, bib_db, mode="physical")
     names = [s.name for s in result.trace.spans]
     for stage in ("lex/parse", "normalize", "translate",
                   "rewrite/unnest", "execute[physical]"):
@@ -214,9 +214,20 @@ def test_cli_trace_subcommand(data_dir, tmp_path, capsys):
                for e in payload["traceEvents"])
 
 
+def test_cli_trace_defaults_to_auto(data_dir, capsys):
+    status = main(["trace", "--query", SIMPLE, "--docs", str(data_dir)])
+    assert status == 0
+    out = capsys.readouterr().out
+    # auto is reported as the engine it resolved to
+    header = out.splitlines()[0]
+    mode = header.rsplit("mode: ", 1)[1]
+    assert mode in ("pipelined", "vectorized")
+    assert f"execute[{mode}]" in out
+
+
 def test_cli_timing_flag(data_dir, capsys):
     status = main(["--query", SIMPLE, "--docs", str(data_dir),
-                   "--timing"])
+                   "--timing", "--mode", "physical"])
     assert status == 0
     captured = capsys.readouterr()
     assert "<r>" in captured.out               # query output on stdout
